@@ -12,9 +12,10 @@ because they are drawn over server *ordinals*, two topologies with the
 same server count receive bit-identical flow sets — a stronger
 "identical workloads" guarantee than the legacy name-based draws.  The
 allocation runs through the vectorized engine
-(:func:`repro.traffic.engine.max_min_rates`), which is bit-for-bit
-equal to the legacy :func:`repro.sim.flow.max_min_allocation` oracle
-(the test suite asserts this parity on F7's own quick topologies).
+(:func:`repro.traffic.engine.max_min_rates`), whose rates the test
+suite certifies max-min fair and matches to 1e-12 relative against the
+legacy :func:`repro.sim.flow.max_min_allocation` oracle on F7's own
+quick topologies.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The scale-native successor of the :mod:`repro.sim` flow layer: where
 ``sim.flow`` walks Python dicts per flow (and stays in the tree as the
-small-scale parity oracle), this package keeps every flow in numpy
+small-scale reference oracle), this package keeps every flow in numpy
 batch state over the compiled CSR graphs —
 
 * :mod:`repro.traffic.matrix` — seeded :class:`TrafficMatrix`
@@ -10,8 +10,8 @@ batch state over the compiled CSR graphs —
   job-placement-driven) over integer server ordinals;
 * :mod:`repro.traffic.routes` — :class:`RouteSet`, routes as a
   flow x link sparse incidence of undirected edge ids;
-* :mod:`repro.traffic.engine` — bit-parity vectorized progressive
-  filling (:func:`max_min_rates`) and fluid FCT (:func:`fluid_fct`);
+* :mod:`repro.traffic.engine` — batched exact max-min filling
+  (:func:`max_min_rates`) and fluid FCT (:func:`fluid_fct`);
 * :mod:`repro.traffic.run` — journaled multi-trial orchestration
   behind ``repro traffic``.
 

@@ -1,15 +1,15 @@
 """Vectorized max-min fair allocation and fluid FCT over a RouteSet.
 
-The allocator is the batch twin of
-:func:`repro.sim.flow.max_min_allocation` — progressive filling, but
-every saturation round is a handful of array operations over the
-flow x edge incidence instead of Python dict walks.  The float
-operations per round are *identical* to the legacy loop (same headroom
-division, same ``max(residual - increment * count, 0.0)`` drain, same
-``1e-12`` saturation threshold, same scalar ``level`` accumulation), so
-for equal inputs the computed rates are bit-for-bit equal — the test
-suite asserts exactly that against the legacy oracle, which stays in
-the tree for that purpose.
+The allocator solves the same problem as
+:func:`repro.sim.flow.max_min_allocation` — progressive filling — but
+freezes every locally-minimal edge per round instead of one rate level,
+with every round a handful of array operations over the flow x edge
+incidence instead of Python dict walks.  Rates are computed directly,
+not accumulated level by level, so they are not bit-for-bit equal to
+the legacy loop: the test suite checks every allocation for feasibility
+and a max-min certificate (each served flow crosses a saturated edge on
+which its rate is the largest) and compares against the legacy oracle,
+which stays in the tree for that purpose, to 1e-12 relative.
 
 Flows marked unreachable in the :class:`~repro.traffic.routes.RouteSet`
 allocate at rate 0.0 and are excluded from the fairness statistics —
@@ -32,8 +32,7 @@ from repro.topology.compiled import HAVE_NUMPY
 if HAVE_NUMPY:
     import numpy as _np
 
-#: the legacy filler's saturation threshold — keep in lockstep with
-#: repro.sim.flow.max_min_allocation for bit parity.
+#: remaining size at or below which :func:`fluid_fct` retires a flow.
 SATURATION_EPS = 1e-12
 
 
@@ -46,7 +45,9 @@ class TrafficAllocation:
         bottleneck_edges: saturating edge id per flow, route order,
             -1 for unreachable (or uncapped) flows.
         unreachable: per-flow bool, copied from the RouteSet.
-        rounds: saturation rounds the filler ran.
+        rounds: batched filling rounds (each freezes every flow on a
+            locally-minimal edge, so there are at most as many rounds as
+            served flows and usually far fewer than rate levels).
     """
 
     rates: Any
@@ -103,53 +104,37 @@ class TrafficAllocation:
         return {q: float(served[r]) for q, r in zip(qs, ranks)}
 
 
-def _ragged_gather(starts, lens):
-    """Flattened ``[start, start + len)`` slices, concatenated in order."""
-    np = _np
-    nonzero = lens > 0
-    starts = starts[nonzero]
-    lens = lens[nonzero]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    step = np.ones(int(lens.sum()), dtype=np.int64)
-    step[0] = starts[0]
-    ends = np.cumsum(lens)[:-1]
-    step[ends] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(step)
-
-
-def max_min_rates(
-    routes, active: Optional[Any] = None, sizes_scale: Optional[Any] = None
-) -> TrafficAllocation:
-    """Progressive-filling max-min rates for a RouteSet, vectorized.
+def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
+    """Exact max-min fair rates for a RouteSet, many levels per round.
 
     Args:
         routes: the flow x edge incidence.
         active: optional per-flow bool — flows outside the mask get
             rate 0.0 and consume no capacity (the FCT loop's retired
             flows).
-        sizes_scale: reserved for weighted filling; must be ``None``.
 
-    Round structure (legacy-identical): increment = min over loaded
-    edges of ``residual / crossings``; every loaded edge drains by
-    ``increment * crossings`` clamped at zero; edges at ``<= 1e-12``
-    freeze every flow crossing them at the accumulated level.
+    Each round computes, per loaded edge, its fair share
+    ``L_e = residual_e / crossings_e`` (crossings with multiplicity) and,
+    per active flow, ``m_f = min L_e`` over its route.  An edge is a
+    *local minimum* when ``L_e`` equals the smallest ``m_f`` among the
+    flows crossing it, i.e. when no flow crossing it has ``m_f < L_e``
+    — exact comparisons, since every ``m_f`` is a copy of some ``L_e``.
+    Every flow crossing a local-minimum edge freezes at its ``m_f`` in
+    the same round, and one ``bincount`` over the frozen flows'
+    incidence drains residuals and crossing counts.  Freezing only
+    ever raises the other edges' ``L_e``, so a local-minimum edge
+    saturates at exactly its ``L_e``; the global minimum is always a
+    local one, so ``rounds <= flows``.
 
-    The loaded-edge state lives in compacted arrays (an edge drops out
-    the round its crossing count hits zero) and frozen flows are found
-    through an edge -> flow adjacency, so one round costs
-    O(loaded edges) rather than O(total incidence); with ~10^5 flows at
-    ~10^4 saturation rounds that is the difference between seconds and
-    minutes.  The per-edge float sequence is untouched by the
-    compaction — the loaded set is identical to the legacy
-    ``counts > 0`` test and min/subtract/clamp are elementwise — so bit
-    parity with the oracle survives.
+    Rates are computed directly rather than accumulated increment by
+    increment, so they agree with the :mod:`repro.sim.flow` oracle to
+    ~1e-14 relative, not bit for bit; the tests check every allocation
+    against a feasibility bound and a max-min certificate instead.
+    One round costs a few passes over the still-active flow-major
+    incidence, which is compacted as flows freeze.
     """
-    if sizes_scale is not None:
-        raise NotImplementedError("weighted max-min filling is not implemented")
     np = _np
     num_flows = routes.num_flows
-    num_edges = routes.num_edges
     rates = np.zeros(num_flows, dtype=np.float64)
     bottlenecks = np.full(num_flows, -1, dtype=np.int64)
     unreachable = np.asarray(routes.unreachable, dtype=bool)
@@ -157,96 +142,74 @@ def max_min_rates(
     flow_active = ~unreachable
     if active is not None:
         flow_active = flow_active & np.asarray(active, dtype=bool)
+    hops = np.diff(np.asarray(routes.offsets, dtype=np.int64))
+    # A zero-hop flow meets no capacity constraint: rate = inf, like the
+    # legacy guard.
+    rates[flow_active & (hops == 0)] = math.inf
+    loaded = flow_active & (hops > 0)
+    flow_ids = np.flatnonzero(loaded)
+    flow_len = hops[flow_ids]
+    inc_edge = np.asarray(routes.edge_ids)
+    if flow_ids.size < num_flows:
+        inc_edge = inc_edge[np.repeat(loaded, hops)]
+    # Renumber the loaded edges densely (int32 when the incidence
+    # allows), so per-round edge arrays scale with the active flows,
+    # not the graph.
+    counts = np.bincount(inc_edge, minlength=routes.num_edges)
+    edge_ids = np.flatnonzero(counts)
+    index = np.int32 if inc_edge.size < 2**31 else np.int64
+    inc_edge = (np.cumsum(counts > 0, dtype=index) - 1)[inc_edge]
+    # float crossing counts: exact, and a drained edge's inf keeps its
+    # (never gathered) level finite without a division warning.
+    edge_len = counts[edge_ids].astype(np.float64)
+    residual = routes.capacities()[edge_ids]
+    level = np.empty(edge_ids.size, dtype=np.float64)
+    tight = np.empty(edge_ids.size, dtype=bool)
+    # per-entry buffers, sliced to the live incidence every round
+    gathered = np.empty(inc_edge.size, dtype=np.float64)
+    slack_buf = np.empty(inc_edge.size, dtype=bool)
+    starts = np.zeros(flow_ids.size, dtype=np.int64)
 
-    offsets = np.asarray(routes.offsets, dtype=np.int64)
-    hop_counts = np.diff(offsets)
-    inc_edge = np.asarray(routes.edge_ids, dtype=np.int64)
-    inc_flow = routes.incidence_flows()
-
-    counts = np.bincount(inc_edge[flow_active[inc_flow]], minlength=num_edges)
-    # Compacted parallel arrays over the currently loaded edges; pos maps
-    # edge id -> compacted slot (stale once an edge drains, but a drained
-    # edge only carried now-frozen flows and is never decremented again).
-    loaded_ids = np.flatnonzero(counts > 0).astype(np.int64)
-    # float64 counts: exact for any realistic crossing count, and the
-    # legacy divide/multiply converts int counts to float64 anyway — so
-    # the arithmetic is value-identical while skipping the per-round
-    # conversion pass.
-    cnt_l = counts[loaded_ids].astype(np.float64)
-    res_l = routes.capacities()[loaded_ids]
-    pos = np.full(num_edges, -1, dtype=np.int64)
-    pos[loaded_ids] = np.arange(loaded_ids.size, dtype=np.int64)
-    # scratch buffers reused every round (sliced to the live prefix)
-    scratch = np.empty(loaded_ids.size, dtype=np.float64)
-    sat_buf = np.empty(loaded_ids.size, dtype=bool)
-
-    # Edge -> flow adjacency, built once: when an edge saturates, its
-    # slice names the flows to freeze.  Entries are filtered by liveness
-    # at use and an edge saturates at most once, so each incidence entry
-    # is scanned O(1) times over the whole fill.
-    ef_order = np.argsort(inc_edge, kind="stable")
-    ef_flow = inc_flow[ef_order]
-    ef_offsets = np.zeros(num_edges + 1, dtype=np.int64)
-    np.cumsum(np.bincount(inc_edge, minlength=num_edges), out=ef_offsets[1:])
-
-    sat_round = np.zeros(num_edges, dtype=np.int64)
-    level = 0.0
     rounds = 0
-    remaining = int(np.count_nonzero(flow_active))
-
-    while remaining > 0:
-        if loaded_ids.size == 0:
-            # No capacity constraint binds (cannot happen for positive-
-            # length routes) — mirror the legacy guard: rate = inf.
-            rates[flow_active] = math.inf
-            break
+    while flow_ids.size:
         rounds += 1
-        tmp = scratch[: res_l.size]
-        sat = sat_buf[: res_l.size]
-        np.divide(res_l, cnt_l, out=tmp)
-        increment = float(tmp.min())
-        level += increment
-        np.multiply(cnt_l, increment, out=tmp)
-        np.subtract(res_l, tmp, out=res_l)
-        np.maximum(res_l, 0.0, out=res_l)
-        np.less_equal(res_l, SATURATION_EPS, out=sat)
-        if not bool(sat.any()):
-            # Large capacities can leave a sub-ulp residue above the
-            # threshold; the legacy loop re-rounds too.  Guard runaways.
-            if rounds > 64 * max(num_flows, 1):  # pragma: no cover
-                raise RuntimeError("progressive filling failed to converge")
-            continue
-        sat_local = np.flatnonzero(sat)
-        sat_edges = loaded_ids[sat_local]
-        sat_round[sat_edges] = rounds
-        cand = ef_flow[
-            _ragged_gather(
-                ef_offsets[sat_edges], ef_offsets[sat_edges + 1] - ef_offsets[sat_edges]
-            )
-        ]
-        # A loaded edge has at least one active crossing, so newly != [].
-        newly = np.unique(cand[flow_active[cand]])
-        rates[newly] = level
-        flow_active[newly] = False
-        remaining -= int(newly.size)
-        # One walk over the frozen flows' routes covers both bottleneck
-        # attribution (first edge saturated this round, route order —
-        # newly is sorted, so the repeat below is flow-major like the
-        # legacy incidence scan) and crossing-count decrements.
-        lens = hop_counts[newly]
-        redges = inc_edge[_ragged_gather(offsets[newly], lens)]
-        rflows = np.repeat(newly, lens)
-        hit = sat_round[redges] == rounds
-        uniq, first_of = np.unique(rflows[hit], return_index=True)
-        bottlenecks[uniq] = redges[hit][first_of]
-        dec_edges, dec_by = np.unique(redges, return_counts=True)
-        cnt_l[pos[dec_edges]] -= dec_by
-        keep = cnt_l > 0
-        if not bool(keep.all()):
-            loaded_ids = loaded_ids[keep]
-            cnt_l = cnt_l[keep]
-            res_l = res_l[keep]
-            pos[loaded_ids] = np.arange(loaded_ids.size, dtype=np.int64)
+        if rounds > num_flows:  # pragma: no cover - every round freezes a flow
+            raise RuntimeError("max-min filling failed to converge")
+        live = inc_edge.size
+        np.divide(residual, edge_len, out=level)
+        # indices are in range by construction; "clip" skips the check
+        share = np.take(level, inc_edge, out=gathered[:live], mode="clip")
+        flow_start = starts[: flow_ids.size]
+        np.cumsum(flow_len[:-1], out=flow_start[1:])
+        flow_min = np.minimum.reduceat(share, flow_start)
+        # An edge is a local minimum unless some flow crossing it is
+        # held lower elsewhere.
+        slack = np.less(np.repeat(flow_min, flow_len), share, out=slack_buf[:live])
+        tight.fill(True)
+        tight[inc_edge[slack]] = False
+        hits = np.flatnonzero(tight[inc_edge])
+        # Each frozen flow's first hit, in route order, is its bottleneck.
+        owner = np.searchsorted(flow_start, hits, side="right") - 1
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        frozen = owner[first]
+        rates[flow_ids[frozen]] = flow_min[frozen]
+        bottlenecks[flow_ids[frozen]] = edge_ids[inc_edge[hits[first]]]
+
+        gone = np.zeros(flow_ids.size, dtype=bool)
+        gone[frozen] = True
+        gone_entries = np.repeat(gone, flow_len)
+        drained = inc_edge[gone_entries]
+        residual -= np.bincount(
+            drained,
+            weights=np.repeat(flow_min[frozen], flow_len[frozen]),
+            minlength=edge_ids.size,
+        )
+        edge_len -= np.bincount(drained, minlength=edge_ids.size)
+        edge_len[edge_len == 0] = math.inf
+        flow_ids = flow_ids[~gone]
+        flow_len = flow_len[~gone]
+        inc_edge = inc_edge[~gone_entries]
 
     return TrafficAllocation(
         rates=rates,
