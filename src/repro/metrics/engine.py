@@ -441,14 +441,15 @@ def _per_source_counts(bits, width: int):
     return out[:width]
 
 
-def _bitpack_block(nodes: int, entries: int) -> int:
+def bitpack_block(nodes: int, entries: int, node_planes: int = 3) -> int:
     """Sources per bit-packed block, from the working-set budget.
 
-    Each uint64 word column costs ``8 * (entries + 3 * nodes)`` bytes
-    (the gather buffer dominates); the budget caps that, and 64 words
-    (4096 sources) caps the per-level popcount work.  Even at 1M nodes
-    the block stays in the thousands — the dense kernel's cap at that
-    size is 16.
+    Each uint64 word column costs ``8 * (entries + node_planes * nodes)``
+    bytes: the gather buffer plus ``node_planes`` (nodes x words) bit
+    matrices — three for the sweep (frontier, visited, next).  The
+    budget caps that, and 64 words (4096 sources) caps the per-level
+    popcount work.  Even at 1M nodes the block stays in the thousands —
+    the dense kernel's cap at that size is 16.
     """
     budget_mb = SWEEP_BUDGET_MB
     env = os.environ.get("REPRO_SWEEP_BUDGET_MB", "").strip()
@@ -457,20 +458,26 @@ def _bitpack_block(nodes: int, entries: int) -> int:
             budget_mb = float(env)
         except ValueError:
             pass
-    per_word = 8.0 * (entries + 3 * max(nodes, 1))
+    per_word = 8.0 * (entries + node_planes * max(nodes, 1))
     words = int(budget_mb * 1e6 // per_word)
     return 64 * max(1, min(words, 64))
 
 
-class _BitExpander:
-    """Frontier expansion for the bit-packed kernel.
+class BitExpander:
+    """Frontier expansion for the bit-packed kernels.
 
     ``expand(frontier)[v] = OR of frontier[u] over u adjacent to v`` —
     valid as the transpose-free form because the graphs are undirected
     (CSR == its transpose).  Implemented as one gather of the neighbor
-    rows plus ``bitwise_or.reduceat`` over the row starts; degree-0 rows
-    (possible in masked views) get their start index clipped and their
-    output zeroed, since ``reduceat`` cannot express an empty slice.
+    rows plus ``bitwise_or.reduceat`` over the row starts.  Degree-0
+    rows (possible in masked views) need care, since ``reduceat`` cannot
+    express an empty slice: inside the array it returns one element for
+    them, which is zeroed; at the end their start would equal the entry
+    count, so the reduction stops at the last row with entries and the
+    rows after it stay zero.  (Clipping those starts instead would cut
+    the last entry off the row before them.)  Shared by the sweep
+    kernels here and the multi-source route repair in
+    :mod:`repro.routing.batch`.
     """
 
     __slots__ = ("neighbors", "starts", "zero_rows", "entries")
@@ -485,14 +492,20 @@ class _BitExpander:
             degree = offsets[1:] - starts
             if bool((degree == 0).any()):
                 self.zero_rows = degree == 0
-                starts = _np.minimum(starts, self.entries - 1)
+                starts = starts[: int(_np.flatnonzero(degree)[-1]) + 1]
         self.starts = starts
 
     def expand(self, frontier):
         if not self.entries:
             return _np.zeros_like(frontier)
         gathered = frontier[self.neighbors]
-        nxt = _np.bitwise_or.reduceat(gathered, self.starts, axis=0)
+        if len(self.starts) == len(frontier):
+            nxt = _np.bitwise_or.reduceat(gathered, self.starts, axis=0)
+        else:
+            nxt = _np.zeros_like(frontier)
+            _np.bitwise_or.reduceat(
+                gathered, self.starts, axis=0, out=nxt[: len(self.starts)]
+            )
         if self.zero_rows is not None:
             nxt[self.zero_rows] = 0
         return nxt
@@ -509,11 +522,11 @@ def _sweep_bitpack(
     grows to thousands of sources where dense is capped at 16.
     Histogram increments are popcounts; distances never materialise.
     """
-    expander = _BitExpander(graph)
+    expander = BitExpander(graph)
     nodes = graph.num_nodes
     targets = _np.asarray(graph.server_indices, dtype=_np.int64)
     source_arr = _np.asarray(sources, dtype=_np.int64)
-    block = _bitpack_block(nodes, expander.entries)
+    block = bitpack_block(nodes, expander.entries)
     acc = _np.zeros(1, dtype=_np.int64)
     unreachable = 0
     sums: List[int] = []
@@ -601,9 +614,9 @@ def _pairwise_bitpack(
     (row, word, bit) cell of the packed frontier and records the level
     at which its destination's bit first appears.
     """
-    expander = _BitExpander(graph)
+    expander = BitExpander(graph)
     nodes = graph.num_nodes
-    block = _bitpack_block(nodes, expander.entries)
+    block = bitpack_block(nodes, expander.entries)
     position = {src: j for j, src in enumerate(sources)}
     results = [-1] * len(pairs)
     one = _np.uint64(1)

@@ -10,27 +10,34 @@ Two batch routers feed the :mod:`repro.traffic` engine:
   lays the edge arrays out with, so a 163k-server permutation routes in
   milliseconds.  Route-for-route identical to the per-flow oracle (the
   tests assert edge-sequence equality).
-* :func:`bfs_batch_routes` — shortest paths grouped by destination: one
-  frontier BFS per *distinct* destination, then the deterministic
-  lowest-indexed-predecessor backtrack the serve engine uses
-  (:func:`repro.serve.engine._path_nodes` semantics) per flow.  Works on
-  any compiled graph or alive-only masked view; unreachable flows come
-  back as ``None`` paths, never exceptions.
+* :func:`bfs_batch_routes` — shortest paths for all flows from one
+  level-synchronous *multi-source* BFS: the distinct destinations are
+  the sources, bit-packed 64 per uint64 word
+  (:class:`repro.metrics.engine.BitExpander`), and every flow then
+  walks forward from ``src`` at once, each step to the lowest-indexed
+  neighbor one BFS level closer to ``dst``.  (The serve engine's
+  :func:`repro.serve.engine._path_nodes` runs its BFS from ``src`` and
+  walks back from ``dst`` instead, so the two may pick different
+  equal-length paths.)  Works on any compiled graph or alive-only
+  masked view; unreachable flows come back as empty routes with the
+  unreachable bit set, never exceptions.
 
 :func:`batch_routes` dispatches: arithmetic routing when the graph is a
 fast-built ABCCC, BFS otherwise — and under a
 :class:`~repro.faults.mask.MaskedGraph` it routes arithmetically first,
 then repairs only the flows whose healthy route touches a dead
-node/edge by BFS on the surviving subgraph (the common case after a
-small fault draw is that most routes survive untouched).
+node/edge by the multi-source BFS on the surviving subgraph (the common
+case after a small fault draw is that most routes survive untouched).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.metrics.engine import BitExpander, bitpack_block
+from repro.obs import trace as _obs
 from repro.topology.compiled import HAVE_NUMPY
-from repro.traffic.routes import RouteSet
+from repro.traffic.routes import RouteSet, RouteSetError, edge_id_array
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -194,25 +201,163 @@ def abccc_batch_routes(graph, src_ordinals, dst_ordinals) -> RouteSet:
 
 
 # ----------------------------------------------------------------------
-# grouped-by-destination BFS fallback
+# multi-source BFS: every destination at once, every flow walked at once
 # ----------------------------------------------------------------------
-def _backtrack(view, dist, src: int) -> List[int]:
-    """Forward walk src -> dst stepping to the lowest-indexed neighbor
-    one BFS level closer — the serve engine's determinism contract."""
-    offsets, neighbors = view.offsets, view.neighbors
-    path = [src]
-    current = src
-    for level in range(int(dist[src]), 0, -1):
-        step = None
-        for j in range(int(offsets[current]), int(offsets[current + 1])):
-            candidate = int(neighbors[j])
-            if int(dist[candidate]) == level - 1 and (step is None or candidate < step):
-                step = candidate
-        if step is None:  # pragma: no cover - BFS invariant
+#: (nodes x words) bit matrices a repair block keeps per word column:
+#: three distance-mod-3 planes, the frontier, the next level and the
+#: unvisited mask (``bitpack_block`` adds the gather buffer).
+_REPAIR_NODE_PLANES = 6
+
+
+def _block_bfs(expander, num_nodes: int, block_dsts, flow_src, flow_word, flow_bit):
+    """Bit-packed BFS from ``block_dsts`` (64 per uint64 word).
+
+    Returns ``(planes, hops, levels)``: ``planes[r]`` has bit ``j`` of
+    node ``v`` set iff ``dist(block_dsts[j], v) % 3 == r``; ``hops[f]``
+    is the distance from flow ``f``'s destination (the bit
+    ``flow_bit[f]`` of word ``flow_word[f]``) to ``flow_src[f]``, -1 if
+    unreachable; ``levels`` counts expansions.
+
+    Residues suffice because the graph is undirected: a neighbor of a
+    node at distance ``t`` sits at ``t - 1``, ``t`` or ``t + 1``, three
+    different residues, so the level-``(t-1)`` test of the backtrack
+    is a residue test and the storage does not grow with the diameter.
+    The union of the planes is the visited set.  The search stops once
+    every flow's source is reached.
+    """
+    np = _np
+    width = len(block_dsts)
+    cols = np.arange(width, dtype=np.int64)
+    planes = np.zeros((3, num_nodes, (width + 63) // 64), dtype=np.uint64)
+    planes[0, block_dsts, cols >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)
+    hops = np.full(len(flow_src), -1, dtype=np.int64)
+    pending = np.arange(len(flow_src), dtype=np.int64)
+    frontier = planes[0]
+    level = 0
+    while True:
+        found = (frontier[flow_src[pending], flow_word[pending]] & flow_bit[pending]) != 0
+        hops[pending[found]] = level
+        pending = pending[~found]
+        if pending.size == 0:
+            break
+        level += 1
+        nxt = expander.expand(frontier)
+        unseen = planes[0] | planes[1]
+        unseen |= planes[2]
+        nxt &= np.invert(unseen, out=unseen)
+        if not nxt.any():
+            break
+        planes[level % 3] |= nxt
+        frontier = nxt
+    return planes, hops, level
+
+
+def _block_walks(offsets, neighbors, planes, hops, flow_src, flow_word, flow_bit):
+    """Walk every reachable flow of a block forward at once.
+
+    Returns ``(rows, walks)``: ``walks[i, :hops[rows[i]] + 1]`` is flow
+    ``rows[i]``'s node path, ``rows`` ordered longest path first so the
+    flows still walking at step ``t`` are a prefix.  At each step every
+    walking flow gathers its current node's CSR neighbors, keeps those
+    one level closer to its destination (residue bit set) and moves to
+    the lowest-indexed one (``minimum.reduceat``).
+    """
+    np = _np
+    reach = np.flatnonzero(hops > 0)
+    rows = reach[np.argsort(-hops[reach], kind="stable")]
+    lengths = hops[rows]
+    longest = int(lengths[0]) if rows.size else 0
+    walks = np.full((rows.size, longest + 1), -1, dtype=np.int64)
+    current = flow_src[rows]
+    walks[:, 0] = current
+    word, bit = flow_word[rows], flow_bit[rows]
+    num_nodes = planes.shape[1]
+    walking = rows.size
+    for step in range(longest):
+        walking = int(np.count_nonzero(lengths[:walking] > step))
+        here = current[:walking]
+        starts = offsets[here]
+        degree = offsets[here + 1] - starts
+        seg = np.zeros(walking, dtype=np.int64)
+        np.cumsum(degree[:-1], out=seg[1:])
+        candidates = neighbors[
+            np.arange(int(seg[-1] + degree[-1]), dtype=np.int64)
+            + np.repeat(starts - seg, degree)
+        ]
+        residue = np.repeat((lengths[:walking] - 1 - step) % 3, degree)
+        closer = (
+            planes[residue, candidates, np.repeat(word[:walking], degree)]
+            & np.repeat(bit[:walking], degree)
+        ) != 0
+        nxt = np.minimum.reduceat(np.where(closer, candidates, num_nodes), seg)
+        if bool((nxt == num_nodes).any()):  # pragma: no cover - BFS invariant
             raise BatchRoutingError("BFS backtrack found no predecessor")
-        path.append(step)
-        current = step
-    return path
+        current[:walking] = nxt
+        walks[:walking, step + 1] = nxt
+    return rows, walks
+
+
+def _bfs_walks(view, src_nodes, dst_nodes):
+    """Shortest walks for every flow from one multi-source BFS.
+
+    Returns ``(hops, walks)``: ``hops[f]`` is the hop distance of flow
+    ``f`` (-1 = unreachable) and ``walks[f, :hops[f] + 1]`` its node
+    path, ``src`` first (padding is -1).  The distinct destinations are
+    BFS sources, 64 per uint64 word, in blocks sized by the sweep
+    engine's memory budget (:func:`repro.metrics.engine.bitpack_block`).
+    Each path walks forward from ``src`` to the lowest-indexed neighbor
+    one BFS level closer to ``dst`` (see :func:`bfs_node_paths`).
+    """
+    np = _np
+    src_nodes = np.asarray(src_nodes, dtype=np.int64)
+    dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
+    num_flows = len(src_nodes)
+    expander = BitExpander(view)
+    num_nodes = int(view.num_nodes)
+    offsets = np.asarray(view.offsets, dtype=np.int64)
+    dsts, inverse = np.unique(dst_nodes, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    by_dst = np.argsort(inverse, kind="stable")
+    block = bitpack_block(num_nodes, expander.entries, _REPAIR_NODE_PLANES)
+    bounds = np.searchsorted(inverse[by_dst], np.arange(0, len(dsts) + block, block))
+    hops = np.full(num_flows, -1, dtype=np.int64)
+    pieces = []
+    levels = 0
+    for which, lo in enumerate(range(0, len(dsts), block)):
+        flows = by_dst[bounds[which] : bounds[which + 1]]
+        cols = inverse[flows] - lo
+        flow_src, flow_word = src_nodes[flows], cols >> 6
+        flow_bit = np.uint64(1) << (cols & 63).astype(np.uint64)
+        planes, block_hops, block_levels = _block_bfs(
+            expander, num_nodes, dsts[lo : lo + block], flow_src, flow_word, flow_bit
+        )
+        levels += block_levels
+        hops[flows] = block_hops
+        rows, walks = _block_walks(
+            offsets, expander.neighbors, planes, block_hops,
+            flow_src, flow_word, flow_bit,
+        )
+        pieces.append((flows[rows], walks))
+    _obs.counter("routes.repair_flows", num_flows)
+    _obs.counter("routes.repair_sources", len(dsts))
+    _obs.counter("routes.bfs_levels", levels)
+    longest = max((walks.shape[1] for _, walks in pieces), default=1)
+    out = np.full((num_flows, longest), -1, dtype=np.int64)
+    out[:, 0] = src_nodes
+    for flows, walks in pieces:
+        out[flows, : walks.shape[1]] = walks
+    return hops, out
+
+
+def _walk_edge_ids(graph, hops, walks):
+    """``(edge_ids, offsets)`` of padded walks, one ``edge_id_array`` call."""
+    counts = _np.maximum(hops, 0)
+    offsets = _np.zeros(len(counts) + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=offsets[1:])
+    hop = _np.arange(walks.shape[1] - 1)[None, :] < counts[:, None]
+    if not bool(hop.any()):
+        return _np.empty(0, dtype=_np.int64), offsets
+    return edge_id_array(graph, walks[:, :-1][hop], walks[:, 1:][hop]), offsets
 
 
 def bfs_node_paths(
@@ -220,33 +365,40 @@ def bfs_node_paths(
 ) -> List[Optional[List[int]]]:
     """Shortest node paths per flow; ``None`` where unreachable.
 
-    One BFS per *distinct destination* (``view.bfs_distances``), shared
-    by every flow targeting it, then a deterministic per-flow backtrack.
+    The contract: BFS from ``dst``, then walk forward from ``src``,
+    stepping each time to the lowest-indexed neighbor one level closer
+    to ``dst``.  (The serve engine's ``_path_nodes`` mirrors it — BFS
+    from ``src``, walk back from ``dst`` — so the two may pick
+    different paths of the same length.)  All flows share one
+    bit-packed multi-source BFS from their distinct destinations.
     """
-    src_nodes = _np.asarray(src_nodes, dtype=_np.int64)
-    dst_nodes = _np.asarray(dst_nodes, dtype=_np.int64)
-    paths: List[Optional[List[int]]] = [None] * len(src_nodes)
-    unique_dsts, inverse = _np.unique(dst_nodes, return_inverse=True)
-    for which, dst in enumerate(unique_dsts):
-        flows = _np.flatnonzero(inverse == which)
-        dist = view.bfs_distances(int(dst))
-        for f in flows:
-            src = int(src_nodes[f])
-            if int(dist[src]) < 0:
-                continue  # unreachable: stays None
-            paths[int(f)] = _backtrack(view, dist, src)
-    return paths
+    hops, walks = _bfs_walks(view, src_nodes, dst_nodes)
+    return [
+        None if h < 0 else row[: h + 1].tolist()
+        for h, row in zip(hops.tolist(), walks)
+    ]
 
 
 def bfs_batch_routes(graph, src_nodes, dst_nodes, view=None) -> RouteSet:
-    """Shortest-path :class:`RouteSet` via grouped-by-destination BFS.
+    """Shortest-path :class:`RouteSet` via the multi-source BFS.
 
     ``view`` (e.g. a masked graph's ``sweep_view()``) carries the
     adjacency to search; edge ids always resolve against ``graph``, so
-    a degraded route still indexes the parent capacity arrays.
+    a degraded route still indexes the parent capacity arrays.  Paths
+    follow the :func:`bfs_node_paths` contract.
     """
-    paths = bfs_node_paths(view if view is not None else graph, src_nodes, dst_nodes)
-    return RouteSet.from_node_paths(graph, paths, src_nodes, dst_nodes)
+    src_nodes = _np.asarray(src_nodes, dtype=_np.int64)
+    dst_nodes = _np.asarray(dst_nodes, dtype=_np.int64)
+    hops, walks = _bfs_walks(
+        view if view is not None else graph, src_nodes, dst_nodes
+    )
+    if bool((hops == 0).any()):
+        flow = int(_np.flatnonzero(hops == 0)[0])
+        raise RouteSetError(f"path for flow {flow} has fewer than two nodes")
+    edge_ids, offsets = _walk_edge_ids(graph, hops, walks)
+    return RouteSet.from_edge_arrays(
+        graph, src_nodes, dst_nodes, edge_ids, offsets, hops < 0
+    )
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +435,11 @@ def batch_routes(graph, matrix, masked=None) -> RouteSet:
     """Routes for a :class:`~repro.traffic.matrix.TrafficMatrix`.
 
     Healthy fast-built ABCCC: pure arithmetic.  Degraded ABCCC:
-    arithmetic first, then BFS repair of only the flows whose route
-    died.  Everything else: grouped-by-destination BFS (on the masked
-    sweep view when degraded).
+    arithmetic first, then multi-source BFS repair of only the flows
+    whose route died.  Everything else: multi-source BFS (on the masked
+    sweep view when degraded).  Every BFS-routed call bumps the
+    ``routes.repair_flows`` / ``routes.repair_sources`` /
+    ``routes.bfs_levels`` trace counters.
     """
     servers = _np.asarray(graph.server_indices, dtype=_np.int64)
     src_ord = _np.asarray(matrix.src, dtype=_np.int64)
@@ -325,17 +479,12 @@ def batch_routes(graph, matrix, masked=None) -> RouteSet:
     seg_flat = np.empty(0, dtype=np.int64)
     seg_offsets = np.zeros(1, dtype=np.int64)
     if repaired_rows.size:
-        view = masked.sweep_view()
-        paths = bfs_node_paths(
-            view, src_nodes[repaired_rows], dst_nodes[repaired_rows]
+        hops, walks = _bfs_walks(
+            masked.sweep_view(), src_nodes[repaired_rows], dst_nodes[repaired_rows]
         )
-        repaired = RouteSet.from_node_paths(
-            graph, paths, src_nodes[repaired_rows], dst_nodes[repaired_rows]
-        )
-        seg_flat = np.asarray(repaired.edge_ids, dtype=np.int64)
-        seg_offsets = np.asarray(repaired.offsets, dtype=np.int64)
-        new_counts[repaired_rows] = repaired.hop_counts
-        unreachable[repaired_rows] = repaired.unreachable
+        seg_flat, seg_offsets = _walk_edge_ids(graph, hops, walks)
+        new_counts[repaired_rows] = np.maximum(hops, 0)
+        unreachable[repaired_rows] = hops < 0
     new_counts[endpoint_dead] = 0
 
     offsets = np.zeros(len(new_counts) + 1, dtype=np.int64)

@@ -334,6 +334,24 @@ class TestTraffic:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot  # histograms were recorded
 
+    def test_traced_degraded_run_reports_repair_counters(self, capsys, tmp_path):
+        trace = tmp_path / "traffic.trace.jsonl"
+        code = main(
+            self.ARGS
+            + [
+                "--pattern", "permutation",
+                "--faults", "server=0.05,switch=0.05,link=0.05",
+                "--trace", str(trace),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        for name in ("routes.repair_flows", "routes.repair_sources", "routes.bfs_levels"):
+            line = next(l for l in report.splitlines() if l.split()[:1] == [name])
+            assert float(line.split()[1]) > 0
+
     def test_resume_replays_journal(self, capsys, tmp_path):
         args = self.ARGS + [
             "--pattern", "uniform", "--trials", "2", "--out", str(tmp_path)

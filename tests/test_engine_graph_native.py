@@ -42,6 +42,7 @@ from repro.topology.compiled import (
     CSRGraphView,
     compile_graph,
 )
+from repro.topology.fastbuild import fast_compiled
 
 KERNELS = ("bitpack", "dense", "flat")
 
@@ -220,6 +221,31 @@ class TestMaskedSweep:
         # victim is alive but unreachable: its pairs drop from the count.
         assert stats.pairs == (full - 1) * (full - 2)
         assert sum(stats.histogram.values()) == stats.pairs
+
+    @pytest.mark.parametrize("where", ["last", "last-two", "first", "interior"])
+    def test_bitpack_with_dead_nodes_matches_flat(self, where):
+        # Dead nodes are degree-0 rows of the sweep view.  Trailing ones
+        # once clipped the last entry off the row before them, so the
+        # bit-packed kernels lost an edge whenever the highest-indexed
+        # node was dead.
+        graph = fast_compiled(AbcccSpec(3, 2, 2))
+        last = graph.num_nodes - 1
+        dead = {
+            "last": [last],
+            "last-two": [last - 1, last],
+            "first": [0],
+            "interior": [5, last // 2],
+        }[where]
+        masked = MaskedGraph.from_indices(graph, dead_nodes=dead)
+        want = sweep_graph_distance_stats(masked, kernel="flat")
+        got = sweep_graph_distance_stats(masked, kernel="bitpack")
+        assert got.histogram == want.histogram
+        view = masked.sweep_view()
+        servers = [int(v) for v in view.server_indices]
+        pairs = [(servers[i], servers[-1 - i]) for i in range(len(servers))]
+        assert pairwise_distances(view, pairs, kernel="bitpack") == pairwise_distances(
+            view, pairs, kernel="flat"
+        )
 
     def test_sweep_view_feeds_pairwise(self):
         net = AbcccSpec(3, 1, 2).build()
